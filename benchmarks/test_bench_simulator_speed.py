@@ -20,12 +20,7 @@ so a semantics change in a benchmarked configuration is caught there first.
 Each case's events/sec is appended as one trajectory entry to
 ``BENCH_simulator.json`` at the repository root (override the path with the
 ``BENCH_SIMULATOR_JSON`` environment variable, the entry label with
-``BENCH_LABEL``).  Flat-eligible cases (single-bottleneck dumbbells — see
-the README's "Kernel architecture" section) are measured under both
-kernels with interleaved reps: the plain case key records the flat kernel
-(what ``auto`` selects) plus a ``flat_speedup`` median-of-paired-ratios,
-and a ``case[generic]`` companion key records the generic kernel at the
-same calibration.  Entries also record a pure-Python calibration rate so
+``BENCH_LABEL``).  Entries also record a pure-Python calibration rate so
 trajectories from machines of different speeds stay comparable — see
 ``benchmarks/check_bench_regression.py`` and the README's Performance
 section.
@@ -69,9 +64,9 @@ def _calibration_rate(iterations: int = 2_000_000) -> float:
     return iterations / (time.perf_counter() - t0)
 
 
-def _run_case(case: str, kernel: str = "auto") -> tuple[int, float]:
+def _run_case(case: str) -> tuple[int, float]:
     """Run one benchmark case; returns (events_processed, elapsed_seconds)."""
-    sim = get_scenario(CASE_SCENARIOS[case]).build(duration=BENCH_DURATION, kernel=kernel)
+    sim = get_scenario(CASE_SCENARIOS[case]).build(duration=BENCH_DURATION)
     start = time.perf_counter()
     result = sim.run()
     elapsed = time.perf_counter() - start
@@ -91,50 +86,6 @@ def _measure(case: str, rounds: int = 3) -> dict:
         "events_per_sec": round(events / best_elapsed, 1),
     }
     _RESULTS[case] = measurement
-    return measurement
-
-
-def _measure_kernel_pair(case: str, rounds: int = 5) -> dict:
-    """Interleaved flat-vs-generic measurement for a flat-eligible case.
-
-    The two kernels alternate rep by rep, so a slow machine phase hits both
-    sides equally; each side keeps its best elapsed (the usual best-of
-    policy) and the recorded speedup is the median of the *paired* ratios,
-    which is far more stable than a ratio of two independent runs.  Records
-    the plain case key from the flat side — ``auto`` selects the flat kernel
-    for these cells, so that is the engine the trajectory tracks — plus a
-    ``case[generic]`` companion with the same calibration, making the
-    flat-vs-generic ratio readable off a single entry.
-    """
-    events = 0
-    best_flat = float("inf")
-    best_generic = float("inf")
-    ratios = []
-    for _ in range(rounds):
-        generic_events, generic_elapsed = _run_case(case, kernel="generic")
-        events, flat_elapsed = _run_case(case, kernel="flat")
-        assert events == generic_events, (
-            f"{case}: kernel parity violation — generic ran {generic_events} "
-            f"events, flat ran {events}"
-        )
-        best_flat = min(best_flat, flat_elapsed)
-        best_generic = min(best_generic, generic_elapsed)
-        ratios.append(generic_elapsed / flat_elapsed)
-    ratios.sort()
-    measurement = {
-        "events": events,
-        "seconds": round(best_flat, 6),
-        "events_per_sec": round(events / best_flat, 1),
-        "kernel": "flat",
-        "flat_speedup": round(ratios[len(ratios) // 2], 3),
-    }
-    _RESULTS[case] = measurement
-    _RESULTS[case + "[generic]"] = {
-        "events": events,
-        "seconds": round(best_generic, 6),
-        "events_per_sec": round(events / best_generic, 1),
-        "kernel": "generic",
-    }
     return measurement
 
 
@@ -211,26 +162,12 @@ def _write_trajectory():
 CASES = list(CASE_SCENARIOS)
 
 
-def _flat_eligible(case: str) -> bool:
-    from repro.netsim.kernel import FlatKernel
-
-    return FlatKernel.supports(get_scenario(CASE_SCENARIOS[case]).network_spec()) is None
-
-
 @pytest.mark.parametrize("case", CASES)
 def test_simulator_event_rate(benchmark, case):
-    # Flat-eligible cells measure both kernels (interleaved) so the entry
-    # records the flat speedup alongside the rate `auto` actually delivers.
-    measure = _measure_kernel_pair if _flat_eligible(case) else _measure
-    measurement = benchmark.pedantic(measure, args=(case,), rounds=1, iterations=1)
+    measurement = benchmark.pedantic(_measure, args=(case,), rounds=1, iterations=1)
     print(
         f"\n{case}: {measurement['events']} events, "
         f"{measurement['events_per_sec']:,.0f} events/sec (4x5s at 10 Mbps)"
-        + (
-            f", flat kernel x{measurement['flat_speedup']:.2f} vs generic"
-            if "flat_speedup" in measurement
-            else ""
-        )
     )
     # Classic RED dropping non-ECN TCP traffic keeps the link lightly used
     # (that is RED working as designed), so it processes far fewer events.

@@ -85,8 +85,8 @@ def main() -> None:
         default=None,
         metavar="SPEC",
         help="explicit execution backend spec (overrides --workers/--retries): "
-        "'serial', 'process[:workers[:chunk[:retries]]]', "
-        "'thread[:workers[:chunk]]', or 'queue:host:port[:wait]' to "
+        "'serial', 'process[:workers[:chunk[:retries]]]', or "
+        "'queue:host:port[:wait]' to "
         "coordinate remote workers started with "
         "'python -m repro.runner.distributed worker host:port'",
     )

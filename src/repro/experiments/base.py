@@ -352,10 +352,10 @@ def run_cell_results(
     itself — mixed-protocol cells like the §5.6 coexistence table (a RemyCC
     sharing the bottleneck with Cubic), or single-scheme cells whose figure
     reads per-flow traces — where :func:`run_scenario_sweep`'s
-    scheme-swapping fan-out does not apply.  The cell's protocol set,
-    workloads and kernel choice travel with the (self-contained, picklable)
-    jobs; protocols are instantiated fresh in whichever process runs each
-    job, exactly as the hand-written harness loops did per run.
+    scheme-swapping fan-out does not apply.  The cell's protocol set and
+    workloads travel with the (self-contained, picklable) jobs; protocols
+    are instantiated fresh in whichever process runs each job, exactly as
+    the hand-written harness loops did per run.
 
     ``seed_derivation`` maps ``(cell name, base seed, run index)`` to each
     run's seed (default: the collision-free :func:`sweep_seed`); harnesses
@@ -382,7 +382,6 @@ def run_cell_results(
                 scenario=cell,
                 max_events=max_events,
                 trace_flows=tuple(trace_flows),
-                kernel=cell.kernel,
             )
         )
     if backend is None:

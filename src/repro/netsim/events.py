@@ -6,26 +6,23 @@ sequence number makes ordering deterministic when two events share the same
 timestamp, which in turn makes every simulation reproducible for a given
 random seed.  Because the sequence number is unique, entry comparisons never
 reach the callback slot, so entries compare as cheaply as ``(float, int)``
-tuples — the previous implementation paid a ``dataclass(order=True)``
-``__lt__`` (which builds two tuples per comparison) plus a separate ``Event``
-object for every scheduled callback.
+tuples.
 
-Two scheduling APIs share the (time, sequence) ordering:
+Two pairs of posting calls share the (time, sequence) ordering:
+:meth:`EventScheduler.post` / :meth:`~EventScheduler.post_after` are
+fire-and-forget, for the per-packet hot path (link serialization,
+propagation, ACK return), which never cancels;
+:meth:`~EventScheduler.post_entry` / :meth:`~EventScheduler.post_entry_after`
+serve the timers (RTO, pacing, on/off switches) and return the raw entry as
+a cancellation token for :meth:`~EventScheduler.cancel_entry`.
 
-* :meth:`EventScheduler.schedule` / :meth:`~EventScheduler.schedule_after`
-  return an :class:`Event` cancellation handle (senders need to cancel RTO,
-  pacing and on/off timers);
-* :meth:`EventScheduler.post` / :meth:`~EventScheduler.post_after` are the
-  allocation-lean fire-and-forget variants used by the per-packet hot path
-  (link serialization, propagation, ACK return), which never cancels.
-
-Run-to-completion dispatch (PR 3).  Deterministic successor work scheduled
-for *right now* — a link transmit completing and immediately dequeuing the
-next packet, a trace link's back-to-back delivery opportunities, pacing
-timers landing on the current instant — never needs the heap's ordering
-power: it must simply run after everything already due at the current
-timestamp, in FIFO order.  ``post``/``post_after`` therefore route zero-delay
-work into ``_ready``, a plain deque (the *same-time FIFO lane*), and
+Run-to-completion dispatch.  Deterministic successor work scheduled for
+*right now* — a link transmit completing and immediately dequeuing the next
+packet, a trace link's back-to-back delivery opportunities, pacing timers
+landing on the current instant — never needs the heap's ordering power: it
+must simply run after everything already due at the current timestamp, in
+FIFO order.  ``post``/``post_after`` therefore route zero-delay work into
+``_ready``, a plain deque (the *same-time FIFO lane*), and
 :meth:`run_until` merges the lane with the heap by ``(time, sequence)``.
 Because lane entries draw from the same sequence counter as heap entries,
 the merged order is bit-identical to what heap-pushing them would produce,
@@ -36,7 +33,7 @@ once per event, and same-timestamp runs skip redundant clock stores.
 
 Cancellation is lazy: a cancelled entry has its callback slot set to ``None``
 and stays queued until popped.  ``pending`` is a maintained counter
-(schedule +1, cancel −1, execute −1), not a heap scan.
+(post +1, cancel −1, execute −1), not a heap scan.
 """
 
 from __future__ import annotations
@@ -51,42 +48,6 @@ _heappop = heapq.heappop
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is driven into an inconsistent state."""
-
-
-class Event:
-    """Cancellation handle for a scheduled callback.
-
-    Returned by :meth:`EventScheduler.schedule`.  Cancellation is lazy: the
-    heap entry stays queued but is skipped when popped.  Cancelling an event
-    that already ran is a harmless no-op.
-    """
-
-    __slots__ = ("_entry", "_scheduler", "cancelled")
-
-    def __init__(self, entry: list[Any], scheduler: "EventScheduler") -> None:
-        self._entry = entry
-        self._scheduler = scheduler
-        self.cancelled = False
-
-    @property
-    def time(self) -> float:
-        """Absolute time the callback is (or was) due to run."""
-        return self._entry[0]
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when due."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        entry = self._entry
-        if entry[2] is not None:  # still queued (not yet executed)
-            entry[2] = None
-            entry[3] = ()  # release references held by the args tuple
-            self._scheduler._pending -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self._entry[0]:.6f}, {state})"
 
 
 class EventScheduler:
@@ -120,43 +81,14 @@ class EventScheduler:
         return self._pending
 
     # ------------------------------------------------------------------ scheduling
-    def _push(self, time: float, callback: Callable[..., None], args: tuple[Any, ...]) -> list[Any]:
-        now = self.now
-        if time < now:
-            if time < now - 1e-12:
-                raise SimulationError(
-                    f"cannot schedule event at t={time:.9f} before now={now:.9f}"
-                )
-            time = now
-        entry = [time, self._sequence, callback, args]
-        self._sequence += 1
-        _heappush(self._heap, entry)
-        self._pending += 1
-        return entry
-
-    def schedule(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``; returns a handle.
+    def post(self, time: float, callback: Callable[..., None], *args: Any) -> None:
+        """Schedule ``callback(*args)`` at absolute ``time``; no handle.
 
         Scheduling in the past is an error; scheduling exactly at ``now`` is
-        allowed and runs after currently executing events.
+        allowed and runs after everything already due at ``now``.  Work due
+        at the current instant goes through the same-time FIFO lane instead
+        of the heap (same execution order, O(1) instead of O(log n)).
         """
-        return Event(self._push(time, callback, args), self)
-
-    def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return Event(self._push(self.now + delay, callback, args), self)
-
-    def post(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no cancellation handle is built.
-
-        The per-packet hot path (link serialization, propagation delays, ACK
-        return paths) never cancels, so it uses this allocation-lean variant.
-        Work due at the current instant goes through the same-time FIFO lane
-        instead of the heap (same execution order, O(1) instead of O(log n)).
-        """
-        # _push inlined: this runs several times per simulated packet.
         now = self.now
         if time <= now:
             if time < now - 1e-12:
@@ -170,28 +102,13 @@ class EventScheduler:
         self._pending += 1
 
     def post_after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_after`."""
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        # _push inlined (delay >= 0 implies the time is never in the past).
         if delay == 0:
             self._ready.append([self.now, self._sequence, callback, args])
         else:
             _heappush(self._heap, [self.now + delay, self._sequence, callback, args])
-        self._sequence += 1
-        self._pending += 1
-
-    def post_now(self, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` at the current instant, after work already due.
-
-        The explicit entry point to the same-time FIFO lane: successor work
-        that must run at ``now`` — but *after* everything already queued for
-        ``now`` — bypasses heap push/pop entirely while keeping the global
-        ``(time, sequence)`` execution order.  (Successor work that may run
-        immediately, like the link's transmit → dequeue → next-transmit
-        chain, is a plain synchronous call and needs no scheduling at all.)
-        """
-        self._ready.append([self.now, self._sequence, callback, args])
         self._sequence += 1
         self._pending += 1
 
@@ -200,8 +117,7 @@ class EventScheduler:
 
         The entry doubles as a zero-allocation cancellation token for
         :meth:`cancel_entry`; ``entry[2] is None`` means it was cancelled or
-        has already run.  Used by the sender's per-ACK RTO/pacing rearm,
-        where a full :class:`Event` handle per acknowledgment is measurable.
+        has already run.  Used by the sender's RTO, pacing and on/off timers.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -213,10 +129,21 @@ class EventScheduler:
 
     def post_entry(self, time: float, callback: Callable[..., None], *args: Any) -> list[Any]:
         """Absolute-time variant of :meth:`post_entry_after`."""
-        return self._push(time, callback, args)
+        now = self.now
+        if time < now:
+            if time < now - 1e-12:
+                raise SimulationError(
+                    f"cannot schedule event at t={time:.9f} before now={now:.9f}"
+                )
+            time = now
+        entry = [time, self._sequence, callback, args]
+        self._sequence += 1
+        _heappush(self._heap, entry)
+        self._pending += 1
+        return entry
 
     def cancel_entry(self, entry: list[Any]) -> None:
-        """Cancel a raw entry from :meth:`post_entry_after` (no-op if done)."""
+        """Cancel a raw entry from :meth:`post_entry` (no-op if done)."""
         if entry[2] is not None:
             entry[2] = None
             entry[3] = ()
@@ -235,44 +162,7 @@ class EventScheduler:
         """
         self._processed -= 1
 
-    # ------------------------------------------------------------------ inspection
-    def peek_time(self) -> Optional[float]:
-        """Return the timestamp of the next pending event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            _heappop(heap)
-        ready = self._ready
-        while ready and ready[0][2] is None:
-            ready.popleft()
-        if ready:
-            if heap and heap[0] < ready[0]:
-                return heap[0][0]
-            return ready[0][0]
-        if not heap:
-            return None
-        return heap[0][0]
-
     # ------------------------------------------------------------------ execution
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns ``False`` if none remain."""
-        heap = self._heap
-        ready = self._ready
-        while heap or ready:
-            if ready and not (heap and heap[0] < ready[0]):
-                entry = ready.popleft()
-            else:
-                entry = _heappop(heap)
-            callback = entry[2]
-            if callback is None:
-                continue
-            entry[2] = None  # mark executed so a late cancel() is a no-op
-            self.now = entry[0]
-            self._processed += 1
-            self._pending -= 1
-            callback(*entry[3])
-            return True
-        return False
-
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events until ``end_time`` (inclusive) or the queue drains.
 
@@ -355,13 +245,4 @@ class EventScheduler:
             self._pending -= executed
         if end_time > self.now:
             self.now = end_time
-        return executed
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the event queue is empty.  Returns events executed."""
-        executed = 0
-        while self.step():
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
         return executed

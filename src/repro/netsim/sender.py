@@ -164,9 +164,8 @@ class Sender:
         self.rto = 1.0
 
         # Workload bookkeeping.  Timers are raw scheduler heap entries
-        # (:meth:`EventScheduler.post_entry_after`), not Event handles: the
-        # RTO is cancelled and rearmed on every acknowledgment, so the
-        # handle allocation would sit directly on the hot path.
+        # (:meth:`EventScheduler.post_entry_after`), which double as
+        # allocation-free cancellation tokens.
         self.segments_remaining: Optional[int] = None
         self.on_start_time = 0.0
         self._on_until_event: Optional[list] = None

@@ -16,8 +16,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from repro.netsim.events import EventScheduler
 from repro.netsim.invariants import InvariantChecker
-from repro.netsim.kernel import KernelChoice, resolve_kernel
 from repro.netsim.network import DumbbellNetwork, NetworkSpec
 from repro.netsim.packet import PacketPool
 from repro.netsim.path import PathNetwork, PathSpec
@@ -128,16 +128,6 @@ class Simulation:
         conservation, monotonic time and queue-accounting checks on a
         sampling schedule and at completion.  Results stay bit-identical;
         implies the debug packet pool when pooling is enabled.
-    kernel:
-        Simulation kernel selection (see :mod:`repro.netsim.kernel`):
-        ``"auto"`` (default) picks the specialized flat kernel when the
-        topology supports it and the generic kernel otherwise; ``"generic"``
-        or ``"flat"`` force a kernel (``"flat"`` raises
-        :class:`~repro.netsim.kernel.KernelUnsupportedError` on topologies
-        it cannot express); a :class:`~repro.netsim.kernel.SimulationKernel`
-        instance is used as-is.  Every kernel reproduces the same results
-        bit-identically — the choice is purely a speed/engine knob.  The
-        resolved engine is recorded in :attr:`kernel_name`.
     """
 
     def __init__(
@@ -152,7 +142,6 @@ class Simulation:
         use_packet_pool: bool = True,
         debug_packet_pool: bool = False,
         debug_invariants: bool = False,
-        kernel: KernelChoice = "auto",
     ) -> None:
         if len(protocols) != spec.n_flows:
             raise ValueError(
@@ -172,15 +161,8 @@ class Simulation:
         self.trace_flows = set(trace_flows)
         self.max_events = max_events
 
-        #: The resolved simulation kernel (capability-checked against the
-        #: topology spec) and the scheduler it drives.  Resolution happens
-        #: before any construction so an unsupported explicit choice fails
-        #: fast, and the kernel's scheduler is in place before any wiring.
-        self.kernel = resolve_kernel(kernel, spec)
-        #: Name of the engine actually driving this run (``"generic"`` or
-        #: ``"flat"``) — what ``kernel="auto"`` resolved to.
-        self.kernel_name = self.kernel.name
-        self.scheduler = self.kernel.create_scheduler()
+        self.kernel_name = "generic"  # the only engine; perfbench/tracing.py records it
+        self.scheduler = EventScheduler()
         #: Per-simulation packet freelist (see :class:`PacketPool`).  Pooling
         #: is a pure allocation optimisation — results are bit-identical with
         #: it off (``use_packet_pool=False``), which the packet-pool tests
@@ -211,10 +193,6 @@ class Simulation:
         self.senders: list[Sender] = []
         self.receivers: list[Receiver] = []
         self._build_flows()
-        # The simulation is fully built (identical construction order and
-        # rng draws regardless of kernel); a specialized kernel may now
-        # rebind the per-packet wiring.
-        self.kernel.finalize(self)
 
     def _build_flows(self) -> None:
         for flow_id in range(self.spec.n_flows):
@@ -244,7 +222,7 @@ class Simulation:
             self.invariant_checker.arm()
         for sender in self.senders:
             sender.start()
-        self.kernel.run(self.scheduler, self.duration, max_events=self.max_events)
+        self.scheduler.run_until(self.duration, max_events=self.max_events)
         for sender in self.senders:
             sender.finalize(self.duration)
         if self.invariant_checker is not None:
@@ -265,9 +243,6 @@ def run_simulation(
     workloads: Optional[Sequence[Optional[Workload]]] = None,
     duration: float = 100.0,
     seed: int = 0,
-    kernel: KernelChoice = "auto",
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`Simulation` and run it."""
-    return Simulation(
-        spec, protocols, workloads, duration=duration, seed=seed, kernel=kernel
-    ).run()
+    return Simulation(spec, protocols, workloads, duration=duration, seed=seed).run()

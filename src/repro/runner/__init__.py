@@ -4,9 +4,7 @@ The design loop (§4.3) and the figure harnesses all boil down to batches of
 independent packet-level simulations.  This package describes one simulation
 as a picklable :class:`SimJob`, and runs batches through an
 :class:`ExecutionBackend` — serially in-process (the bit-identical default),
-across a pool of threads (:class:`ThreadBackend`, backend spec
-``thread[:workers[:chunk]]``), across a pool of worker processes, or — for
-long fault-prone runs — through
+across a pool of worker processes, or — for long fault-prone runs — through
 the fault-tolerant :class:`ResilientPoolBackend` (retry with deterministic
 backoff, per-chunk timeouts, poison-job bisection, serial degradation; see
 :mod:`repro.runner.resilience`).  :mod:`repro.runner.distributed` scales the
@@ -23,7 +21,6 @@ from repro.runner.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     available_workers,
     backend_from_spec,
     prepare_jobs,
@@ -103,7 +100,6 @@ __all__ = [
     "SerialBackend",
     "SimJob",
     "SimJobResult",
-    "ThreadBackend",
     "WhiskerStatsDelta",
     "active_fault_plan",
     "available_workers",

@@ -22,12 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -309,116 +304,14 @@ class ProcessPoolBackend(ExecutionBackend):
         return f"ProcessPoolBackend(max_workers={self.max_workers})"
 
 
-def _run_thread_chunk(jobs: Sequence[SimJob]) -> list[SimJobResult]:
-    """Thread-pool chunk runner: plain in-process execution, no fault plan.
-
-    Fault injection is a *worker-process* concept (armed by the process-pool
-    initializer); threads execute in the submitting process, where injected
-    faults must never fire.
-    """
-    return [run_sim_job(job) for job in jobs]
-
-
-class ThreadBackend(ExecutionBackend):
-    """Fan jobs out over a pool of threads in the submitting process.
-
-    Jobs execute on the caller's own objects — nothing is pickled, so
-    closure ``protocol_factory``\\ s and runtime-registered scenario names
-    work unchanged.  Every job is an independent, fully self-contained
-    simulation (its own scheduler, rngs and flow state seeded from the job
-    alone), so thread scheduling cannot perturb results: per-job output is
-    bit-identical to :class:`SerialBackend`, and ``run_batch`` reassembles
-    submission order like every backend.
-
-    Training-mode rule-table jobs are the one exception to independence —
-    they mutate the shared tree's usage counters in place — so a batch
-    containing any such job degrades to in-order serial execution rather
-    than racing unsynchronized read-modify-write updates across threads.
-
-    This backend trades the process pool's per-chunk pickling/IPC for the
-    interpreter lock: it shines when jobs release the GIL or are too short
-    to amortize IPC, and it is the cheap way to overlap many small jobs
-    without worker processes.  ``chunk_jobs`` bounds per-task submission
-    overhead exactly as in :class:`ProcessPoolBackend` (default: four
-    chunks per worker).
-    """
-
-    shares_memory = True
-
-    def __init__(
-        self, max_workers: Optional[int] = None, chunk_jobs: Optional[int] = None
-    ) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        if chunk_jobs is not None and chunk_jobs <= 0:
-            raise ValueError("chunk_jobs must be positive")
-        self.max_workers = max_workers if max_workers is not None else available_workers()
-        self.chunk_jobs = chunk_jobs
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def _chunk_size(self, n_jobs: int) -> int:
-        if self.chunk_jobs is not None:
-            return self.chunk_jobs
-        return max(1, -(-n_jobs // (self.max_workers * 4)))
-
-    def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
-        if not jobs:
-            return []
-        if any(job.tree is not None and job.training for job in jobs):
-            # Training jobs mutate the caller's tree in place; running them
-            # concurrently would race those updates, so preserve the serial
-            # (bit-identical) contract instead.
-            return [run_sim_job(job) for job in jobs]
-        executor = self._ensure_executor()
-        chunk = self._chunk_size(len(jobs))
-        futures = {
-            executor.submit(_run_thread_chunk, jobs[start : start + chunk]): start
-            for start in range(0, len(jobs), chunk)
-        }
-        results: list[Optional[SimJobResult]] = [None] * len(jobs)
-        pending = set(futures)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    start = futures[future]
-                    for offset, result in enumerate(future.result()):
-                        results[start + offset] = result
-        except BaseException:
-            # Cancel whatever has not started and drain the rest so no
-            # chunk is still running when the error surfaces.
-            for future in pending:
-                future.cancel()
-            if pending:
-                wait(pending)
-            raise
-        return results  # type: ignore[return-value]  # every slot filled above
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThreadBackend(max_workers={self.max_workers})"
-
-
 #: Grammar reminder appended to every spec-format error.
 _SPEC_GRAMMAR = (
     "expected 'serial', 'process[:workers[:chunk[:retries]]]' (each field a "
     "positive integer or empty for the default — e.g. 'process', "
     "'process:8', 'process:8:4', or 'process:::3'; a retries field selects "
     "ResilientPoolBackend with per-chunk retry and poison-job isolation), "
-    "'thread[:workers[:chunk]]' (ThreadBackend: a thread pool in the "
-    "submitting process — same workers/chunk fields as process, no retries "
-    "field because nothing crosses a process boundary — e.g. 'thread', "
-    "'thread:8', or 'thread::4'), or 'queue:host:port[:wait]' (QueueBackend: "
-    "bind the distributed coordinator on host:port — empty host means "
+    "or 'queue:host:port[:wait]' (QueueBackend: bind the distributed "
+    "coordinator on host:port — empty host means "
     "127.0.0.1, port 0 picks an ephemeral port — and degrade to in-process "
     "execution if no worker registers within 'wait' seconds)."
 )
@@ -455,10 +348,6 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
     attempts per chunk (with the default backoff/timeout policy).  Empty
     fields keep their defaults, so ``"process::8"`` sets only the chunk size
     and ``"process:::3"`` only the retry budget.
-
-    ``"thread[:workers[:chunk]]"`` → a :class:`ThreadBackend` with the same
-    workers/chunk semantics (no retries field: threads never lose work to a
-    dead worker process, and fault injection is process-pool-only).
 
     ``"queue:host:port[:wait]"`` → a
     :class:`~repro.runner.distributed.QueueBackend`: bind the distributed
@@ -502,18 +391,6 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
                 retry=RetryPolicy(max_attempts=retries),
             )
         return ProcessPoolBackend(max_workers=workers, chunk_jobs=chunk)
-    if name == "thread":
-        fields = arg.split(":") if arg else []
-        if len(fields) > 2:
-            raise ValueError(
-                f"invalid backend spec {spec!r}: too many fields "
-                f"({len(fields)}) — thread takes at most workers and chunk "
-                f"('thread[:workers[:chunk]]'); {_SPEC_GRAMMAR}"
-            )
-        fields += [""] * (2 - len(fields))
-        workers = _spec_field(spec, "workers", fields[0])
-        chunk = _spec_field(spec, "chunk", fields[1])
-        return ThreadBackend(max_workers=workers, chunk_jobs=chunk)
     if name == "queue":
         fields = arg.split(":") if arg else []
         if len(fields) < 2:
@@ -562,5 +439,5 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
         return QueueBackend(host=host, port=port)
     raise ValueError(
         f"unknown backend spec {spec!r}: family {name!r} is not one of "
-        f"'serial', 'process', 'thread', or 'queue'; {_SPEC_GRAMMAR}"
+        f"'serial', 'process', or 'queue'; {_SPEC_GRAMMAR}"
     )

@@ -108,10 +108,7 @@ class TestSeededViolations:
         # The acceptance-named regression: reintroduce the PR 3/4 leak shape
         # at runtime (count the drop, never release the packet) and the
         # conservation identity must break at a sample.
-        # Pinned generic: the flat kernel's fused closures bind the queue
-        # object at build time, so a post-construction swap like this one
-        # would never see traffic under it.
-        sim = build_sim(debug_invariants=True, kernel="generic")
+        sim = build_sim(debug_invariants=True)
         sim.network.bottleneck.queue = _LeakyQueue(sim.network.bottleneck.queue)
         with pytest.raises(InvariantViolation) as excinfo:
             sim.run()
@@ -123,8 +120,7 @@ class TestSeededViolations:
     def test_uncounted_drop_is_caught(self):
         # Dual failure mode: the packet is released but the drop never
         # counted — conservation breaks in the other direction.
-        # Pinned generic for the same post-construction-patch reason.
-        sim = build_sim(debug_invariants=True, kernel="generic")
+        sim = build_sim(debug_invariants=True)
         queue = sim.network.bottleneck.queue
         inner_enqueue = queue.enqueue
 

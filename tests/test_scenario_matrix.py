@@ -1,4 +1,4 @@
-"""The golden-fingerprint matrix: every registered cell, three contracts.
+"""The golden-fingerprint matrix: every registered cell, four contracts.
 
 For each cell of the scenario registry this suite checks:
 
@@ -17,14 +17,6 @@ For each cell of the scenario registry this suite checks:
   (``debug_invariants=True``; conservation, monotonic time, queue
   accounting) and the instrumented run still reproduces the committed
   fingerprint bit-exactly;
-* **kernel parity** — whichever simulation kernel ``auto`` selects for the
-  cell (the fused :class:`~repro.netsim.kernel.FlatKernel` on
-  single-bottleneck dumbbells, :class:`~repro.netsim.kernel.GenericKernel`
-  elsewhere) is bit-identical to an explicit generic run, and flat-eligible
-  cells reproduce their committed golden fingerprints under the FlatKernel;
-* **thread parity** — a :class:`~repro.runner.ThreadBackend` run is
-  bit-identical to the serial run (each simulation is self-contained, so
-  sharing the process must not change anything).
 
 Gating: registry-shape tests always run.  Per-cell simulations run for the
 tier-1 *smoke subset* (one ``smoke=True`` cell per topology) by default; set
@@ -38,7 +30,7 @@ import pickle
 
 import pytest
 
-from repro.runner import ProcessPoolBackend, SerialBackend, SimJob, ThreadBackend
+from repro.runner import ProcessPoolBackend, SerialBackend, SimJob
 from repro.scenarios import (
     all_scenarios,
     get_scenario,
@@ -98,13 +90,6 @@ def _gate(cell_name: str) -> None:
 def pool_backend():
     """One 2-worker pool shared by every backend-parity case."""
     with ProcessPoolBackend(max_workers=2) as backend:
-        yield backend
-
-
-@pytest.fixture(scope="module")
-def thread_backend():
-    """One 2-thread pool shared by every thread-parity case."""
-    with ThreadBackend(max_workers=2) as backend:
         yield backend
 
 
@@ -240,41 +225,6 @@ def test_cell_serial_matches_process_pool(cell_name, pool_backend):
     [serial] = SerialBackend().run_batch([job])
     [pooled] = pool_backend.run_batch([job])
     assert simulation_fingerprint(pooled.result) == simulation_fingerprint(
-        serial.result
-    )
-
-
-@pytest.mark.parametrize("cell_name", ALL_CELLS)
-def test_cell_generic_vs_selected_kernel_parity(cell_name):
-    # The kernel contract: whichever kernel ``auto`` selects for the cell
-    # (the fused FlatKernel on single-bottleneck dumbbells, the generic
-    # heap core everywhere else) is bit-identical to an explicit generic
-    # run.  For flat-eligible cells this doubles as the golden gate: the
-    # FlatKernel must reproduce the committed fingerprint, which predates
-    # its existence.
-    _gate(cell_name)
-    from repro.netsim.kernel import FlatKernel
-
-    cell = get_scenario(cell_name)
-    selected = simulation_fingerprint(cell.run())
-    generic = simulation_fingerprint(cell.run(kernel="generic"))
-    assert selected == generic
-    if FlatKernel().supports(cell.network_spec()) is None:
-        flat = simulation_fingerprint(cell.run(kernel="flat"))
-        assert flat == load_golden()[cell_name], (
-            f"{cell_name}: FlatKernel diverged from the committed golden "
-            "fingerprint — the fused event chain no longer replays the "
-            "generic heap order"
-        )
-
-
-@pytest.mark.parametrize("cell_name", ALL_CELLS)
-def test_cell_serial_matches_thread_backend(cell_name, thread_backend):
-    _gate(cell_name)
-    job = SimJob.from_scenario(cell_name)
-    [serial] = SerialBackend().run_batch([job])
-    [threaded] = thread_backend.run_batch([job])
-    assert simulation_fingerprint(threaded.result) == simulation_fingerprint(
         serial.result
     )
 

@@ -11,16 +11,6 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py remy/droptail    # one case
     PYTHONPATH=src python tools/profile_hotpath.py --sort cumtime --limit 30 ...
     PYTHONPATH=src python tools/profile_hotpath.py --dump /tmp/out  # .pstats per case
-    PYTHONPATH=src python tools/profile_hotpath.py --kernel flat    # pin the engine
-    PYTHONPATH=src python tools/profile_hotpath.py --compare-kernels newreno/droptail
-
-``--kernel {auto,generic,flat}`` pins the simulation kernel under the
-profiler (flat-ineligible cases fall back to generic with a note, rather
-than dying — the comparison sweep should cover every case).
-``--compare-kernels`` skips the profiler entirely and times each case
-under the generic and flat kernels with interleaved paired repetitions
-(alternating kernels rep by rep, reporting the median of paired ratios,
-which cancels machine-load drift), printing the flat-vs-generic speedup.
 
 Dumped ``.pstats`` files can be explored interactively with
 ``python -m pstats /tmp/out/newreno_droptail.pstats`` or visualized with
@@ -32,12 +22,9 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
-import statistics
 import sys
-import time
 from pathlib import Path
 
-from repro.netsim.kernel import KERNEL_NAMES, FlatKernel
 from repro.netsim.simulator import Simulation
 from repro.scenarios import BENCH_CASE_SCENARIOS as CASE_SCENARIOS
 from repro.scenarios import get_scenario
@@ -51,36 +38,24 @@ DEFAULT_CASES = [
 ]
 
 
-def build_simulation(case: str, kernel: str = "auto") -> Simulation:
+def build_simulation(case: str) -> Simulation:
     """The exact simulation the speed benchmark times for ``case``."""
     if case not in CASE_SCENARIOS:
         raise SystemExit(
             f"unknown case {case!r} (expected one of {', '.join(CASE_SCENARIOS)})"
         )
-    cell = get_scenario(CASE_SCENARIOS[case])
-    if kernel == "flat" and FlatKernel.supports(cell.network_spec()) is not None:
-        print(
-            f"note: {case} is not flat-eligible "
-            f"({FlatKernel.supports(cell.network_spec())}); using generic"
-        )
-        kernel = "generic"
-    return cell.build(duration=5.0, kernel=kernel)
+    return get_scenario(CASE_SCENARIOS[case]).build(duration=5.0)
 
 
-def profile_case(
-    case: str, sort: str, limit: int, dump_dir: Path | None, kernel: str
-) -> None:
-    simulation = build_simulation(case, kernel)
+def profile_case(case: str, sort: str, limit: int, dump_dir: Path | None) -> None:
+    simulation = build_simulation(case)
     profiler = cProfile.Profile()
     profiler.enable()
     result = simulation.run()
     profiler.disable()
 
     print(f"\n{'=' * 72}")
-    print(
-        f"case {case}: {result.events_processed} events "
-        f"(kernel {simulation.kernel_name})"
-    )
+    print(f"case {case}: {result.events_processed} events")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(sort).print_stats(limit)
     if dump_dir is not None:
@@ -88,46 +63,6 @@ def profile_case(
         out = dump_dir / (case.replace("/", "_") + ".pstats")
         stats.dump_stats(out)
         print(f"dumped {out}")
-
-
-def _timed_run(case: str, kernel: str) -> tuple[float, int]:
-    """(seconds, events) for one fresh build-and-run of ``case``."""
-    simulation = build_simulation(case, kernel)
-    start = time.perf_counter()
-    result = simulation.run()
-    return time.perf_counter() - start, result.events_processed
-
-
-def compare_kernels(case: str, reps: int) -> None:
-    """Interleaved paired timing: flat vs generic events/sec for ``case``."""
-    cell = get_scenario(CASE_SCENARIOS[case])
-    reason = FlatKernel.supports(cell.network_spec())
-    if reason is not None:
-        print(f"{case}: not flat-eligible ({reason}); skipping")
-        return
-    # Alternate the kernels rep by rep so slow machine phases hit both
-    # sides equally, then take the median of the per-pair ratios.
-    ratios = []
-    generic_best = float("inf")
-    flat_best = float("inf")
-    events = 0
-    for _ in range(reps):
-        generic_s, events = _timed_run(case, "generic")
-        flat_s, flat_events = _timed_run(case, "flat")
-        if flat_events != events:
-            raise SystemExit(
-                f"{case}: kernel parity violation — generic ran {events} "
-                f"events, flat ran {flat_events}"
-            )
-        ratios.append(generic_s / flat_s)
-        generic_best = min(generic_best, generic_s)
-        flat_best = min(flat_best, flat_s)
-    print(
-        f"{case}: {events} events | generic {events / generic_best:10.0f} ev/s"
-        f" | flat {events / flat_best:10.0f} ev/s"
-        f" | flat speedup x{statistics.median(ratios):.2f}"
-        f" (median of {reps} paired reps)"
-    )
 
 
 def main() -> None:
@@ -153,31 +88,9 @@ def main() -> None:
         metavar="DIR",
         help="also dump a .pstats file per case into DIR",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_NAMES,
-        default="auto",
-        help="simulation kernel to profile under (default auto; flat falls "
-        "back to generic with a note on ineligible cases)",
-    )
-    parser.add_argument(
-        "--compare-kernels",
-        action="store_true",
-        help="instead of profiling, time each case under the generic and "
-        "flat kernels (interleaved paired reps) and print the speedup",
-    )
-    parser.add_argument(
-        "--reps",
-        type=int,
-        default=5,
-        help="paired repetitions per case for --compare-kernels (default 5)",
-    )
     args = parser.parse_args()
     for case in args.cases:
-        if args.compare_kernels:
-            compare_kernels(case, args.reps)
-        else:
-            profile_case(case, args.sort, args.limit, args.dump, args.kernel)
+        profile_case(case, args.sort, args.limit, args.dump)
 
 
 if __name__ == "__main__":
