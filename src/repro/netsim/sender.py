@@ -96,14 +96,6 @@ class AlwaysOnWorkload(Workload):
         return FlowDemand(duration=math.inf)
 
 
-@dataclass(slots=True)
-class _SentInfo:
-    sent_time: float
-    first_sent_time: float
-    retransmitted: bool
-    size_bytes: int
-
-
 class Sender:
     """Sending endpoint for a single flow."""
 
@@ -141,14 +133,15 @@ class Sender:
             type(cc).on_packet_sent is not CongestionControl.on_packet_sent
         )
 
-        # Transport state.  ``in_flight`` maps seq -> _SentInfo; the frontier
-        # is a min-heap over in-flight sequence numbers (with lazy deletion:
-        # a selectively-acked seq leaves a stale entry behind), so cumulative
-        # ACKs release packets in O(released · log n) instead of scanning the
-        # whole flight per ACK.
+        # Transport state.  ``in_flight`` maps seq -> first send time (every
+        # segment is ``mss_bytes`` long); the frontier is a min-heap over
+        # in-flight sequence numbers (with lazy deletion: a selectively-acked
+        # seq leaves a stale entry behind), so cumulative ACKs release
+        # packets in O(released · log n) instead of scanning the whole
+        # flight per ACK.
         self.state = "idle"  # idle -> off/on cycles
         self.next_seq = 0
-        self.in_flight: dict[int, _SentInfo] = {}
+        self.in_flight: dict[int, float] = {}
         self._flight_frontier: list[int] = []
         self.retransmit_queue: deque[int] = deque()
         self.highest_cum_ack = 0
@@ -322,13 +315,11 @@ class Sender:
             packet = Packet(self.flow_id, seq, size_bytes=self.mss_bytes, sent_time=now)
         packet.retransmit = retransmit
         packet.ecn_capable = self.cc.uses_ecn
-        info = self.in_flight.get(seq)
-        if info is not None and retransmit:
-            packet.first_sent_time = info.first_sent_time
-            info.sent_time = now
-            info.retransmitted = True
+        first_sent_time = self.in_flight.get(seq)
+        if first_sent_time is not None and retransmit:
+            packet.first_sent_time = first_sent_time
         else:
-            self.in_flight[seq] = _SentInfo(now, now, retransmit, self.mss_bytes)
+            self.in_flight[seq] = now
             heappush(self._flight_frontier, seq)
 
         stats = self.stats  # record_send, inlined on the per-packet path
@@ -366,20 +357,19 @@ class Sender:
         ack_seq = ack.ack_seq
         in_flight = self.in_flight
         frontier = self._flight_frontier
+        mss_bytes = self.mss_bytes
         newly_acked_bytes = 0
         # Cumulative acknowledgment releases everything below ack_seq: walk
         # the ordered frontier instead of scanning the whole flight.  A
         # frontier entry whose seq is no longer in flight (selectively acked
         # earlier, or re-pushed on retransmission) is simply discarded.
         while frontier and frontier[0] < ack_seq:
-            info = in_flight.pop(heappop(frontier), None)
-            if info is not None:
-                newly_acked_bytes += info.size_bytes
+            if in_flight.pop(heappop(frontier), None) is not None:
+                newly_acked_bytes += mss_bytes
         # The specific segment that generated this ACK may be above the
         # cumulative point (out-of-order arrival): release it selectively.
-        info = in_flight.pop(ack.sacked_seq, None)
-        if info is not None:
-            newly_acked_bytes += info.size_bytes
+        if in_flight.pop(ack.sacked_seq, None) is not None:
+            newly_acked_bytes += mss_bytes
         # Anything cumulatively acknowledged no longer needs retransmission.
         if self.retransmit_queue:
             self.retransmit_queue = deque(

@@ -18,6 +18,7 @@ isolation would silently discard.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -248,19 +249,38 @@ def run_sim_job(job: SimJob, collect_stats: bool = False) -> SimJobResult:
     unpickled as one message, so jobs of one chunk reference one tree
     copy), so the statistics are zeroed before the run rather than
     trusting the tree to arrive clean.
+
+    The cyclic garbage collector is paused for the job and the caller's
+    setting restored afterwards, even if the simulation raises.  A running
+    simulation creates no cyclic garbage, but its whole object graph is one
+    web of cycles (scheduler entries hold bound methods of senders and
+    links, the network and its links point at each other, pooled packets
+    point back at their pool), so reference counting never frees it.  With
+    collection paused nothing the job allocates leaves the young
+    generation, so the single young collection after the run frees the
+    finished simulation, queued packets included, at job end rather than
+    whenever a full collection next happens, and no full collection ever
+    rescans it.
     """
     if collect_stats and job.tree is not None and job.training:
         job.tree.reset_statistics()
-    simulation = Simulation(
-        job.spec,
-        job.build_protocols(),
-        list(job.workloads) if job.workloads else None,
-        duration=job.duration,
-        seed=job.seed,
-        trace_flows=job.trace_flows,
-        max_events=job.max_events,
-    )
-    result = simulation.run()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = Simulation(
+            job.spec,
+            job.build_protocols(),
+            list(job.workloads) if job.workloads else None,
+            duration=job.duration,
+            seed=job.seed,
+            trace_flows=job.trace_flows,
+            max_events=job.max_events,
+        ).run()
+    finally:
+        if enabled:
+            gc.enable()
+    # The Simulation is unreferenced now that run() has returned.
+    gc.collect(0)
     whisker_stats = None
     if collect_stats and job.tree is not None and job.training:
         whisker_stats = collect_whisker_stats(job.tree)
